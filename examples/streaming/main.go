@@ -2,8 +2,8 @@
 //
 // The flat-tree TSQR recurrence (the out-of-core QR of the paper's §II-C
 // related work) digests an endless row stream block by block: here ten
-// million samples of a noisy linear model flow through a
-// core.Accumulator that never holds more than a few KB of state.
+// million samples of a noisy linear model flow through a stream.Folder,
+// whose whole state is one fixed-height row panel and a running R.
 //
 // Streaming least squares for free: accumulate the augmented matrix
 // [A | b]. Its R factor ends as [R c; 0 ρ], so x = R⁻¹·c is the
@@ -20,26 +20,27 @@ import (
 	"time"
 
 	"gridqr/internal/blas"
-	"gridqr/internal/core"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
+	"gridqr/internal/stream"
 )
 
 const (
 	totalRows = 10_000_000
 	chunk     = 8192
+	panel     = 1024 // the folder's internal panel height
 	features  = 6
 	noise     = 0.05
 )
 
 func main() {
 	truth := []float64{0.3, -1.2, 2.5, 0.8, -0.4, 1.1}
-	fmt.Printf("streaming: %d rows × %d features through a TSQR accumulator\n",
+	fmt.Printf("streaming: %d rows × %d features through an incremental TSQR fold\n",
 		totalRows, features)
-	fmt.Printf("           memory footprint: one %d×%d triangle + one %d-row buffer\n\n",
-		features+1, features+1, chunk)
+	fmt.Printf("           fold state: one %d×%d triangle + one %d-row panel\n\n",
+		features+1, features+1, panel)
 
-	acc := core.NewAccumulator(features + 1) // [A | b]
+	fold := stream.NewFolder(features+1, panel) // [A | b]
 	rng := rand.New(rand.NewSource(7))
 	block := matrix.New(chunk, features+1)
 	start := time.Now()
@@ -54,11 +55,11 @@ func main() {
 			}
 			block.Set(i, features, y+noise*rng.NormFloat64())
 		}
-		acc.Push(block.View(0, 0, rows, features+1))
+		fold.Push(block.View(0, 0, rows, features+1))
 	}
 	elapsed := time.Since(start)
 
-	raug := acc.R()
+	raug := fold.SnapshotLocal()
 	r := raug.View(0, 0, features, features)
 	x := make([]float64, features)
 	for f := 0; f < features; f++ {
@@ -68,8 +69,8 @@ func main() {
 	rho := math.Abs(raug.At(features, features))
 
 	fmt.Printf("consumed %d rows in %v (%.1f M rows/s)\n\n",
-		acc.Rows(), elapsed.Round(time.Millisecond),
-		float64(acc.Rows())/elapsed.Seconds()/1e6)
+		fold.Rows(), elapsed.Round(time.Millisecond),
+		float64(fold.Rows())/elapsed.Seconds()/1e6)
 	fmt.Printf("%10s %12s %12s %12s\n", "feature", "true", "fitted", "error")
 	worst := 0.0
 	for f := 0; f < features; f++ {

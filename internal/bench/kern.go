@@ -116,6 +116,26 @@ func kernSet() []kernCase {
 		})
 	}
 
+	// The small-panel path: the stream fold's 2n×n panel, which Dgeqrf
+	// sends to unblocked Dgeqr2, and the first shape past the crossover
+	// that goes back to the inner-blocked path. A slower small-panel
+	// kernel, or a crossover that moved, shows up in one of the two.
+	for _, sh := range []struct{ m, n int }{{64, 32}, {8192, 32}} {
+		a := matrix.Random(sh.m, sh.n, 15)
+		work := matrix.New(sh.m, sh.n)
+		tau := make([]float64, sh.n)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("dgeqrf_%dx%d", sh.m, sh.n),
+			flops: flops.GEQRF(sh.m, sh.n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matrix.Copy(work, a)
+					lapack.Dgeqrf(work, tau, 0)
+				}
+			},
+		})
+	}
+
 	// The level-2 kernels the panel factorizations lean on, at the tall
 	// panel shape: a fall off the 4-column AVX2 path shows up here before
 	// it shows up (diluted) in dgeqrf.

@@ -33,13 +33,17 @@ type compiledSchedule struct {
 }
 
 // scheduleFor returns the compiled schedule for this (comm, cfg) pair,
-// building it on first use. The cache key is the communicator's path —
-// identical on every member and unique per communicator — plus every
-// config field the layout or schedule depends on.
+// building it on first use. The layout and schedule depend on the
+// communicator only through its members' placement, so the cache key is
+// its membership (comm.Group — identical on every member, and on every
+// re-scoping of the same partition by a served job or stream round)
+// plus every config field the layout or schedule depends on. The cache
+// therefore holds one entry per partition shape and config, not one per
+// job.
 func scheduleFor(comm *mpi.Comm, cfg Config) *compiledSchedule {
 	overlap := cfg.Overlap && cfg.Tree == TreeGrid
-	key := fmt.Sprintf("core.sched|%s|p=%d|dpc=%d|tree=%d|seed=%d|ov=%t",
-		comm.Path(), comm.Size(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed, overlap)
+	key := fmt.Sprintf("core.sched|g=%d|dpc=%d|tree=%d|seed=%d|ov=%t",
+		comm.Group(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed, overlap)
 	return comm.Ctx().World().Shared(key, func() any {
 		l := buildLayout(comm, cfg.DomainsPerCluster)
 		var sched []merge

@@ -112,7 +112,8 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 		panelIdx := j / nb
 		var r *matrix.Dense
 		if ctx.HasData() {
-			r = lapack.TriuCopy(panel).View(0, 0, jb, jb).Clone()
+			r = matrix.New(jb, jb)
+			lapack.TriuInto(r, panel)
 		}
 		sent := false
 		for tag, mrg := range sched {

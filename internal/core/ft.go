@@ -178,7 +178,8 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 		tau := make([]float64, in.N)
 		lapack.Dgeqrf(in.Local, tau, cfg.NB)
 	}
-	leafR := lapack.TriuCopy(in.Local).View(0, 0, in.N, in.N).Clone()
+	leafR := matrix.New(in.N, in.N)
+	lapack.TriuInto(leafR, in.Local)
 	ctx.Charge(flops.GEQRF(myRows, in.N), in.N)
 
 	st := &ftState{comm: comm, n: in.N, p: p, me: me, leafR: leafR,

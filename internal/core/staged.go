@@ -413,8 +413,8 @@ func maxStage(stages []int) int {
 
 // stagesFor caches the stage leveling next to the compiled schedule.
 func stagesFor(comm *mpi.Comm, cfg Config, cs *compiledSchedule) []int {
-	key := fmt.Sprintf("core.stages|%s|p=%d|dpc=%d|tree=%d|seed=%d",
-		comm.Path(), comm.Size(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed)
+	key := fmt.Sprintf("core.stages|g=%d|dpc=%d|tree=%d|seed=%d",
+		comm.Group(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed)
 	return comm.Ctx().World().Shared(key, func() any {
 		return stageMerges(cs.sched)
 	}).([]int)

@@ -165,7 +165,8 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 				st.localTau = make([]float64, in.N)
 				lapack.Dgeqrf(st.localF, st.localTau, cfg.NB)
 			}
-			st.r = lapack.TriuCopy(st.localF).View(0, 0, in.N, in.N).Clone()
+			st.r = matrix.New(in.N, in.N)
+			lapack.TriuInto(st.r, st.localF)
 		}
 		ctx.ChargeKernel("geqrf", flops.GEQRF(myRows, in.N), in.N)
 		return st

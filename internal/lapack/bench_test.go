@@ -159,3 +159,33 @@ func BenchmarkDtpqrtBlockedVsUnblocked(b *testing.B) {
 		b.ReportMetric(flops.StackQR(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 	})
 }
+
+// BenchmarkPanelQRCrossover is the sweep behind panelUnblockedMax: the
+// same panel factored by the inner-blocked path and by plain Dgeqr2.
+// The crossover is where blocked stops losing; DESIGN.md "Panel kernels"
+// records the ratios.
+func BenchmarkPanelQRCrossover(b *testing.B) {
+	for _, tc := range []struct{ m, n int }{
+		{64, 32}, {256, 32}, {1024, 32}, {2048, 32}, {4096, 32}, {8192, 32}, {16384, 32},
+		{128, 64}, {512, 64}, {1024, 64}, {2048, 64}, {4096, 64},
+	} {
+		for _, path := range []struct {
+			name string
+			max  int
+		}{{"blocked", 0}, {"unblocked", tc.m * tc.n}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", tc.m, tc.n, path.name), func(b *testing.B) {
+				defer func(old int) { panelUnblockedMax = old }(panelUnblockedMax)
+				panelUnblockedMax = path.max
+				a := matrix.Random(tc.m, tc.n, 9)
+				f := matrix.New(tc.m, tc.n)
+				tau := make([]float64, tc.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					matrix.Copy(f, a)
+					panelQR(f, tau)
+				}
+				b.ReportMetric(flops.GEQRF(tc.m, tc.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+			})
+		}
+	}
+}

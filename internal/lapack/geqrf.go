@@ -28,7 +28,10 @@ func Dgeqr2(a *matrix.Dense, tau []float64) {
 		tau[j] = t
 		col[j] = beta
 		if j < n-1 && t != 0 {
-			Dlarf(t, col[j+1:], a.View(j, j+1, m-j, n-j-1))
+			// The trailing block a[j:, j+1:] as a stack value: Dlarf does
+			// not keep it, so unlike a.View it allocates nothing per column.
+			c := matrix.Dense{Rows: m - j, Cols: n - j - 1, Stride: a.Stride, Data: a.Data[(j+1)*a.Stride+j:]}
+			Dlarf(t, col[j+1:], &c)
 		}
 	}
 }
@@ -41,14 +44,25 @@ func Dgeqr2(a *matrix.Dense, tau []float64) {
 // the tuning benchmarks can sweep it; never mutated at runtime.
 var geqr2NB = 16
 
-// panelQR factors a tall panel with inner blocking at width geqr2NB:
-// Dgeqr2 runs only on geqr2NB-wide subpanels and the remaining columns
-// are updated by the blocked reflector. The split depends only on the
-// shape, so results are reproducible for a given shape and kernel path.
+// panelUnblockedMax is the largest panel (in elements, m·n) that
+// panelQR factors with plain Dgeqr2. A small panel stays in cache, so
+// Dgeqr2's level-2 sweeps run at cache speed while the inner-blocked
+// path pays its T factor, Dlarfb workspace and Dtrmm on every geqr2NB
+// columns for no bandwidth saving (BenchmarkPanelQRCrossover; the sweep
+// is in DESIGN.md "Panel kernels"). A variable (not a const) so the
+// crossover benchmark can force either path; never mutated at runtime.
+var panelUnblockedMax = 128 * 1024
+
+// panelQR factors a tall panel. Panels of at most panelUnblockedMax
+// elements run unblocked; larger ones use inner blocking at width
+// geqr2NB: Dgeqr2 runs only on geqr2NB-wide subpanels and the remaining
+// columns are updated by the blocked reflector. Both choices depend only
+// on the shape, so results are reproducible for a given shape and
+// kernel path.
 func panelQR(a *matrix.Dense, tau []float64) {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
-	if k <= geqr2NB {
+	if k <= geqr2NB || m*n <= panelUnblockedMax {
 		Dgeqr2(a, tau)
 		return
 	}
@@ -207,12 +221,22 @@ func Dgeqrf(a *matrix.Dense, tau []float64, nb int) {
 // a fresh compact matrix (the R factor after Dgeqr2/Dgeqrf). For m < n the
 // full upper-trapezoidal m×n R is returned.
 func TriuCopy(a *matrix.Dense) *matrix.Dense {
-	k := min(a.Rows, a.Cols)
-	r := matrix.New(k, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i <= min(j, k-1); i++ {
-			r.Set(i, j, a.At(i, j))
-		}
-	}
+	r := matrix.New(min(a.Rows, a.Cols), a.Cols)
+	TriuInto(r, a)
 	return r
+}
+
+// TriuInto copies the upper triangle of a into the upper triangle of
+// dst, column by column: dst[i, j] = a[i, j] for i ≤ j. Rows of dst's
+// upper triangle that a does not have (a.Rows < dst.Rows) are zeroed,
+// so a short panel's R lands as a square triangle with zero bottom
+// rows. dst's strictly lower part is not touched; a needs at least
+// dst.Cols columns.
+func TriuInto(dst, a *matrix.Dense) {
+	for j := 0; j < dst.Cols; j++ {
+		top := min(j+1, dst.Rows)
+		d := dst.Col(j)[:top]
+		c := copy(d, a.Col(j)[:min(top, a.Rows)])
+		clear(d[c:])
+	}
 }

@@ -107,24 +107,29 @@ var (
 // StackQR is the value-level TSQR reduction operation: given two n×n
 // upper triangular factors it returns the R factor of [r1; r2] along with
 // the implicit Q (v, tau) needed to reconstruct the orthogonal factor.
-// Inputs are not modified. The kernel choice depends only on n, so
-// results are reproducible for a given size.
+// Inputs are not modified; StackQRInPlace is the same merge on the
+// caller's storage.
 func StackQR(r1, r2 *matrix.Dense) (r, v *matrix.Dense, tau []float64) {
+	r, v, tau = r1.Clone(), r2.Clone(), make([]float64, r1.Rows)
+	StackQRInPlace(r, v, tau)
+	return r, v, tau
+}
+
+// StackQRInPlace merges two n×n upper triangular factors in place: on
+// return r1 holds the R factor of [r1; r2] (exactly triangular, its
+// strictly lower part cleared), r2 the upper triangular V block and tau
+// (length ≥ n) the reflector scales. The kernel choice depends only on
+// n, so results are reproducible for a given size and bitwise equal to
+// StackQR's.
+func StackQRInPlace(r1, r2 *matrix.Dense, tau []float64) {
 	n := r1.Rows
 	defer telemetry.TimeKernel("stack_qr", flops.TPQRT2(n))()
-	r = r1.Clone()
-	v = r2.Clone()
-	tau = make([]float64, n)
 	if n >= stackQRBlockMin {
-		Dtpqrt(r, v, tau, stackQRNB)
+		Dtpqrt(r1, r2, tau, stackQRNB)
 	} else {
-		Dtpqrt2(r, v, tau)
+		Dtpqrt2(r1, r2, tau)
 	}
-	// Clear any strictly-lower garbage so r is exactly triangular.
-	for j := 0; j < r.Cols; j++ {
-		for i := j + 1; i < r.Rows; i++ {
-			r.Set(i, j, 0)
-		}
+	for j := 0; j < r1.Cols; j++ {
+		clear(r1.Col(j)[min(j+1, n):])
 	}
-	return r, v, tau
 }

@@ -12,7 +12,8 @@ import (
 type Comm struct {
 	ctx     *Ctx
 	path    string // tag namespace, unique per communicator tree node
-	members []int  // world ranks, index = comm rank
+	members []int  // world ranks, index = comm rank; shared, read-only
+	group   int    // id of the interned member table (see Group)
 	rank    int    // this process's comm rank
 	// children counts collective Split calls on this comm so successive
 	// splits get distinct tag namespaces; it stays consistent across
@@ -26,14 +27,11 @@ type Comm struct {
 // would cost O(ranks²) memory for a table whose content is just the
 // identity.
 func WorldComm(ctx *Ctx) *Comm {
-	members := ctx.world.Shared("worldcomm.members", func() any {
-		m := make([]int, ctx.Size())
-		for i := range m {
-			m[i] = i
-		}
-		return m
-	}).([]int)
-	return &Comm{ctx: ctx, path: "w", members: members, rank: ctx.Rank()}
+	w := ctx.world
+	g := w.Shared("worldcomm.members", func() any {
+		return w.internGroup(w.n, func(i int) int { return i })
+	}).(*memberGroup)
+	return &Comm{ctx: ctx, path: "w", members: g.members, group: g.id, rank: ctx.Rank()}
 }
 
 // Rank returns this process's rank within the communicator.
@@ -77,6 +75,16 @@ func (c *Comm) ContinentOf(r int) int {
 // a usable key for world-level caches of communicator-derived structures
 // (see World.Shared).
 func (c *Comm) Path() string { return c.path }
+
+// Group identifies the communicator's membership within its world: two
+// communicators of one world have the same Group exactly when their
+// world-rank member lists are equal, same ranks in the same order.
+// Unlike Path it survives re-scoping — a Sub, Dup or Split with the
+// members of an existing communicator gets its Group — so it keys
+// world-level caches of structures that depend only on membership
+// (layouts, reduction schedules), which then hold one entry per
+// partition however many jobs re-scope it.
+func (c *Comm) Group() int { return c.group }
 
 // checkTag rejects negative user tags: tags < 0 are reserved for the
 // communicator's own collective traffic, and a user message carrying one
@@ -183,13 +191,11 @@ func (c *Comm) tryRecvRaw(from, tag int) ([]float64, error) {
 // this is how an application with global topology knowledge (a QCG-OMPI
 // JobProfile) builds communicators for free.
 func (c *Comm) Sub(members []int, label string) *Comm {
-	world := make([]int, len(members))
 	myRank := -1
 	for i, m := range members {
 		if m < 0 || m >= len(c.members) {
 			panic(fmt.Sprintf("mpi: Sub member %d out of range", m))
 		}
-		world[i] = c.members[m]
 		if m == c.rank {
 			myRank = i
 		}
@@ -197,7 +203,8 @@ func (c *Comm) Sub(members []int, label string) *Comm {
 	if myRank < 0 {
 		panic("mpi: Sub called by a rank not in the member list")
 	}
-	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: world, rank: myRank}
+	g := c.ctx.world.internGroup(len(members), func(i int) int { return c.members[members[i]] })
+	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: g.members, group: g.id, rank: myRank}
 }
 
 // Dup returns a communicator with the same members and rank order as c
@@ -208,7 +215,7 @@ func (c *Comm) Sub(members []int, label string) *Comm {
 // alias a fresh tag. Like Sub it is collective-free, but every member
 // must call it with the same label to land on the same namespace.
 func (c *Comm) Dup(label string) *Comm {
-	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: c.members, rank: c.rank}
+	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: c.members, group: c.group, rank: c.rank}
 }
 
 // splitTag is reserved for Split's internal traffic.

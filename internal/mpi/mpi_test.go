@@ -717,3 +717,38 @@ func TestDup(t *testing.T) {
 		}
 	})
 }
+
+// TestCommGroup: communicators with equal world-rank member lists share
+// one Group (and one member table) whatever their path — a Sub of the
+// same members, a Dup, a Split that keeps everyone — while a different
+// membership or order gets a different Group.
+func TestCommGroup(t *testing.T) {
+	w := testWorld(4)
+	w.Run(func(ctx *Ctx) {
+		c := WorldComm(ctx)
+		same := []*Comm{
+			WorldComm(ctx),
+			c.Dup("d"),
+			c.Sub([]int{0, 1, 2, 3}, "all"),
+			c.Split(0, ctx.Rank()),
+			c.Sub([]int{0, 1, 2, 3}, "all").Dup("d2"),
+		}
+		for i, s := range same {
+			if s.Group() != c.Group() || &s.members[0] != &c.members[0] {
+				t.Errorf("rank %d: comm %d (%s) has group %d, want the world's %d",
+					ctx.Rank(), i, s.Path(), s.Group(), c.Group())
+			}
+		}
+		rev := c.Sub([]int{3, 2, 1, 0}, "rev")
+		if rev.Group() == c.Group() {
+			t.Errorf("rank %d: reversed member order shares the world's group", ctx.Rank())
+		}
+		if again := c.Sub([]int{3, 2, 1, 0}, "rev2"); again.Group() != rev.Group() {
+			t.Errorf("rank %d: equal reversed memberships got groups %d and %d", ctx.Rank(), again.Group(), rev.Group())
+		}
+		half := c.Split(ctx.Rank()/2, 0)
+		if half.Group() == c.Group() || half.Group() == rev.Group() {
+			t.Errorf("rank %d: half-size split shares a group with a different membership", ctx.Rank())
+		}
+	})
+}

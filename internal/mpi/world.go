@@ -75,6 +75,13 @@ type World struct {
 	// made runs beyond a few thousand ranks blow up quadratically.
 	sharedMu sync.Mutex
 	shared   map[string]any
+
+	// groups interns communicator member tables by content (see
+	// internGroup), bucketed by hash. groupsMu nests inside sharedMu
+	// (WorldComm interns from a Shared build), never the reverse.
+	groupsMu sync.Mutex
+	groups   map[uint64][]*memberGroup
+	nGroups  int
 }
 
 // Option configures a World.
@@ -223,6 +230,7 @@ func NewWorld(g *grid.Grid, opts ...Option) *World {
 		}
 	}
 	w.shared = make(map[string]any)
+	w.groups = make(map[uint64][]*memberGroup)
 	if w.virtual && !w.hasData && !w.forceGoroutines {
 		w.eng = newEventEngine(w)
 	} else {
@@ -267,6 +275,48 @@ func (w *World) Shared(key string, build func() any) any {
 	v := build()
 	w.shared[key] = v
 	return v
+}
+
+// memberGroup is an interned communicator member table: the world
+// ranks of a communicator in comm-rank order, plus an id that is equal
+// for two communicators of one world exactly when their tables are.
+type memberGroup struct {
+	id      int
+	members []int
+}
+
+// internGroup returns the world's group for the n-entry member table
+// whose i-th world rank is at(i), creating it on first sight. Lookups
+// of a known table allocate nothing, so every rank of a Sub, Split or
+// Dup shares one table instead of holding its own copy. The world keeps
+// one group per distinct table it has seen: a long-lived world that
+// re-scopes the same partitions for every job holds one per partition.
+func (w *World) internGroup(n int, at func(i int) int) *memberGroup {
+	h := uint64(14695981039346656037) ^ uint64(n)
+	for i := 0; i < n; i++ {
+		h = (h ^ uint64(at(i))) * 1099511628211
+	}
+	w.groupsMu.Lock()
+	defer w.groupsMu.Unlock()
+next:
+	for _, g := range w.groups[h] {
+		if len(g.members) != n {
+			continue
+		}
+		for i, m := range g.members {
+			if m != at(i) {
+				continue next
+			}
+		}
+		return g
+	}
+	g := &memberGroup{id: w.nGroups, members: make([]int, n)}
+	for i := range g.members {
+		g.members[i] = at(i)
+	}
+	w.nGroups++
+	w.groups[h] = append(w.groups[h], g)
+	return g
 }
 
 // Grid returns the platform description ranks are placed on.

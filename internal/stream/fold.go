@@ -44,6 +44,13 @@ type Folder struct {
 	rows   int           // total rows absorbed
 	folded int           // completed panel folds
 	r      *matrix.Dense // running R; nil until the first fold
+
+	// Fold scratch, data mode only, allocated on first use and never
+	// copied by Clone: tau for both kernels, and the n×n triangle a
+	// panel's R is copied into (the merge's second operand, overwritten
+	// by its V).
+	tau []float64
+	tri *matrix.Dense
 }
 
 // DefaultPanelRows is the internal panel height for n columns when the
@@ -114,7 +121,12 @@ func (f *Folder) Push(block *matrix.Dense) {
 		f.rows += take
 		i += take
 		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, f.panel)
+			f.foldPanel(f.panel)
+			if f.r == nil {
+				f.r = f.tri.Clone()
+			} else {
+				lapack.StackQRInPlace(f.r, f.tri, f.tau)
+			}
 			f.used = 0
 		}
 	}
@@ -135,67 +147,67 @@ func (f *Folder) PushN(k int) {
 		f.rows += take
 		k -= take
 		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, f.panel)
+			f.foldPanel(f.panel)
 			f.used = 0
 		}
 	}
 }
 
-// foldPanel factors the first k buffered rows and merges the resulting
-// triangle into r, returning the new running R (nil in cost-only mode).
-// The buffer itself is never mutated — the panel is cloned before
-// Dgeqrf — so callers may fold a partial panel speculatively
-// (SnapshotLocal) without disturbing the stream.
-func (f *Folder) foldPanel(r *matrix.Dense, k int) *matrix.Dense {
+// foldPanel counts the fold of the first k buffered rows and fires
+// OnFold; in data mode it also factors them and leaves the panel's R in
+// f.tri as a square triangle (zero rows below k when k < n), ready to
+// become the running R or to be merged into it. A full panel (the
+// committed Push path) is factored in the buffer itself, which is
+// refilled from row 0 next; a partial one (SnapshotLocal) is factored
+// in a clone, so the buffered rows survive the speculative flush.
+func (f *Folder) foldPanel(k int) {
 	merged := f.folded > 0
 	f.folded++
 	if f.OnFold != nil {
 		f.OnFold(k, merged)
 	}
 	if !f.data {
-		return nil
+		return
 	}
-	p := f.buf.View(0, 0, k, f.n).Clone()
-	tau := make([]float64, min(k, f.n))
-	lapack.Dgeqrf(p, tau, 0)
-	rb := matrix.New(f.n, f.n)
-	t := lapack.TriuCopy(p)
-	for j := 0; j < f.n; j++ {
-		for i := 0; i <= j && i < k; i++ {
-			rb.Set(i, j, t.At(i, j))
-		}
+	if f.tri == nil {
+		f.tau = make([]float64, f.n)
+		f.tri = matrix.New(f.n, f.n)
 	}
-	if r == nil {
-		return rb
+	p := f.buf
+	if k < f.panel {
+		p = f.buf.View(0, 0, k, f.n).Clone()
 	}
-	r, _, _ = lapack.StackQR(r, rb)
-	return r
+	lapack.Dgeqrf(p, f.tau[:min(k, f.n)], 0)
+	lapack.TriuInto(f.tri, p)
 }
 
 // SnapshotLocal returns this rank's current n×n R — everything absorbed
 // so far, including the partial panel — without mutating any state: the
-// partial panel is folded into a copy. Zero rows yields the zero
-// matrix. In cost-only mode it returns nil but still fires the OnFold
-// charge for the partial flush, keeping both modes' accounting
-// identical.
+// partial panel is folded into a copy of the running R. Zero rows
+// yields the zero matrix. In cost-only mode it returns nil but still
+// fires the OnFold charge for the partial flush, keeping both modes'
+// accounting identical.
 func (f *Folder) SnapshotLocal() *matrix.Dense {
-	// folded/used are restored after the speculative flush so the
-	// stream continues exactly where it was.
-	savedFolded := f.folded
-	r := f.r
 	if f.used > 0 {
-		r = f.foldPanel(r, f.used)
+		// folded is restored after the speculative flush so the stream
+		// continues exactly where it was.
+		savedFolded := f.folded
+		f.foldPanel(f.used)
+		f.folded = savedFolded
 	}
-	f.folded = savedFolded
 	if !f.data {
 		return nil
 	}
-	if r == nil {
+	switch {
+	case f.used == 0 && f.r == nil:
 		return matrix.New(f.n, f.n)
+	case f.used == 0:
+		return f.r.Clone() // callers own the snapshot; the stream keeps its R
+	case f.r == nil:
+		return f.tri.Clone()
 	}
-	if r == f.r {
-		r = r.Clone() // callers own the snapshot; the stream keeps its R
-	}
+	r := f.r.Clone()
+	lapack.StackQRInPlace(r, f.tri, f.tau)
 	return r
 }
 

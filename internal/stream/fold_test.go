@@ -2,13 +2,16 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"gridqr/internal/core"
+	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mmio"
+	"gridqr/internal/telemetry"
 )
 
 // bitEqual compares two matrices bit for bit (no tolerance).
@@ -287,5 +290,120 @@ func TestOutOfCoreErrors(t *testing.T) {
 	noRows := "%%MatrixMarket matrix coordinate real general\n0 3 0\n"
 	if _, err := OutOfCore(bytes.NewReader([]byte(noRows)), 0, 0); err == nil {
 		t.Fatal("zero rows: expected error")
+	}
+}
+
+// TestFolderKernelAccounting pins what folds record in the kernel
+// registry, the layer split the wall-clock benchmark reads: each panel
+// (committed or SnapshotLocal's speculative partial one) is one dgeqrf
+// with the panel's GEQRF flops, and each merge into a running R is one
+// stack_qr charged flops.TPQRT2(n).
+func TestFolderKernelAccounting(t *testing.T) {
+	telemetry.EnableKernelMetrics(true)
+	defer telemetry.EnableKernelMetrics(false)
+	reg := telemetry.Default()
+	read := func(kernel string) (calls, fl float64) {
+		return reg.Counter("kernel." + kernel + ".calls").Value(), reg.Counter("kernel." + kernel + ".flops").Value()
+	}
+	const n, seed = 8, 31
+	panel := DefaultPanelRows(n)
+	f := NewFolder(n, 0)
+	lo := 0
+	for _, step := range []struct {
+		push   int   // rows pushed (0: take a snapshot instead)
+		panels []int // row counts of the panels factored
+		merges int
+	}{
+		{push: panel, panels: []int{panel}},                         // first panel becomes the running R
+		{push: 2*panel + 5, panels: []int{panel, panel}, merges: 2}, // 5 rows stay buffered
+		{push: 0, panels: []int{5}, merges: 1},                      // speculative partial fold
+		{push: panel - 5, panels: []int{panel}, merges: 1},          // completes the buffered panel
+	} {
+		c0, f0 := read("dgeqrf")
+		s0, sf0 := read("stack_qr")
+		if step.push > 0 {
+			f.Push(GlobalRows(seed, n, lo, lo+step.push))
+			lo += step.push
+		} else {
+			f.SnapshotLocal()
+		}
+		c1, f1 := read("dgeqrf")
+		s1, sf1 := read("stack_qr")
+		wantFlops := 0.0
+		for _, rows := range step.panels {
+			wantFlops += flops.GEQRF(rows, n)
+		}
+		// Flop counters are float sums: compare to rounding.
+		near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*(1+want) }
+		if c1-c0 != float64(len(step.panels)) || !near(f1-f0, wantFlops) {
+			t.Fatalf("after %d rows: dgeqrf recorded %g calls / %g flops, want %d / %g",
+				lo, c1-c0, f1-f0, len(step.panels), wantFlops)
+		}
+		if s1-s0 != float64(step.merges) || !near(sf1-sf0, float64(step.merges)*flops.TPQRT2(n)) {
+			t.Fatalf("after %d rows: stack_qr recorded %g calls / %g flops, want %d / %g",
+				lo, s1-s0, sf1-sf0, step.merges, float64(step.merges)*flops.TPQRT2(n))
+		}
+	}
+}
+
+// TestFolderCommittedFoldAllocFree: once its scratch exists, a folder
+// absorbs full panels without allocating — the panel is factored in its
+// buffer and merged into the running R in place.
+func TestFolderCommittedFoldAllocFree(t *testing.T) {
+	const n, seed = 32, 37
+	f := NewFolder(n, 0)
+	block := GlobalRows(seed, n, 0, 4*f.PanelRows())
+	f.Push(block) // first fold allocates the running R and the scratch
+	if allocs := testing.AllocsPerRun(20, func() { f.Push(block) }); allocs != 0 {
+		t.Fatalf("committed fold of %d panels allocated %v times per push, want 0", 4, allocs)
+	}
+}
+
+// TestFolderScratchNotShared: a clone gets its own fold scratch, so a
+// clone and its original interleave folds without disturbing each other.
+func TestFolderScratchNotShared(t *testing.T) {
+	const n, seed = 5, 41
+	f := NewFolder(n, 0)
+	f.Push(GlobalRows(seed, n, 0, 23))
+	f.SnapshotLocal() // allocates f's scratch
+	c := f.Clone()
+	for lo := 23; lo < 80; lo += 19 {
+		c.Push(GlobalRows(seed, n, lo, lo+19))
+		c.SnapshotLocal()
+		f.Push(GlobalRows(seed, n, lo, lo+19))
+	}
+	want := pushSplit(n, 0, seed, []int{80})
+	if !bitEqual(f.SnapshotLocal(), want) || !bitEqual(c.SnapshotLocal(), want) {
+		t.Fatal("interleaved clone and original diverged from a single fold")
+	}
+}
+
+// TestFolderDoesNotModifyInput: Push copies rows into its own panel;
+// the caller's block is left untouched.
+func TestFolderDoesNotModifyInput(t *testing.T) {
+	const n = 4
+	block := GlobalRows(65, n, 0, 3*DefaultPanelRows(n)+2)
+	orig := block.Clone()
+	f := NewFolder(n, 0)
+	f.Push(block)
+	f.SnapshotLocal()
+	if !bitEqual(block, orig) {
+		t.Fatal("Push modified its input")
+	}
+}
+
+// TestFolderNormInvariant: ‖R‖_F equals ‖A‖_F for a stream folded in
+// chunks (orthogonal invariance), a tolerance-based check independent
+// of the bitwise fold-vs-fold contract.
+func TestFolderNormInvariant(t *testing.T) {
+	const m, n, seed = 256, 7, 66
+	a := GlobalRows(seed, n, 0, m)
+	f := NewFolder(n, 0)
+	for lo := 0; lo < m; lo += 32 {
+		f.Push(a.View(lo, 0, 32, n))
+	}
+	na, nr := matrix.NormFrob(a), matrix.NormFrob(f.SnapshotLocal())
+	if d := math.Abs(na-nr) / na; !(d <= 1e-12) {
+		t.Fatalf("norms differ: %g vs %g", na, nr)
 	}
 }

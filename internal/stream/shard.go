@@ -34,13 +34,14 @@ func ShardCount(lo, hi, rank, p int) int {
 // ShardRows materializes rank's rows of the global row range [lo, hi)
 // for an n-column stream seeded by seed, in global row order.
 func ShardRows(seed int64, n, lo, hi, rank, p int) *matrix.Dense {
-	a := matrix.New(ShardCount(lo, hi, rank, p), n)
-	i := 0
-	for g := firstOwned(lo, rank, p); g < hi; g += p {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, matrix.RandomAt(seed, g, j))
+	rows := ShardCount(lo, hi, rank, p)
+	a := matrix.New(rows, n)
+	first := firstOwned(lo, rank, p)
+	for j := 0; rows > 0 && j < n; j++ {
+		col := a.Col(j)
+		for i := range col {
+			col[i] = matrix.RandomAt(seed, first+i*p, j)
 		}
-		i++
 	}
 	return a
 }
