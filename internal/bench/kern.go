@@ -25,6 +25,10 @@ type KernResult struct {
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
 	Gflops  float64 `json:"gflops"` // 0 when no flop count applies
+	// Note records where a committed baseline entry came from when it
+	// differs from the rest of the file (another host, say); the gate
+	// ignores it and a refresh drops it.
+	Note string `json:"note,omitempty"`
 }
 
 // KernReport is the JSON document committed as results/KERNBENCH.json.

@@ -31,24 +31,72 @@ func bitsEqual(a, b *matrix.Dense) bool {
 }
 
 func TestDgeqrfRunToRunBitwise(t *testing.T) {
-	for _, tc := range []struct{ m, n, nb int }{
-		{300, 64, 0},  // single flat panel (panelQR)
-		{200, 96, 32}, // outer blocking over panelQR
-	} {
-		a := matrix.Random(tc.m, tc.n, 42)
-		f1, f2 := a.Clone(), a.Clone()
-		tau1 := make([]float64, tc.n)
-		tau2 := make([]float64, tc.n)
-		Dgeqrf(f1, tau1, tc.nb)
-		Dgeqrf(f2, tau2, tc.nb)
-		if !bitsEqual(f1, f2) {
-			t.Fatalf("%dx%d nb=%d: two runs of Dgeqrf differ bitwise", tc.m, tc.n, tc.nb)
-		}
-		for j := range tau1 {
-			if math.Float64bits(tau1[j]) != math.Float64bits(tau2[j]) {
-				t.Fatalf("%dx%d nb=%d: tau differs bitwise at %d", tc.m, tc.n, tc.nb, j)
+	forEachPanelPath(t, func(t *testing.T) {
+		for _, tc := range []struct{ m, n, nb int }{
+			{300, 64, 0},   // single flat panel (panelQR)
+			{200, 96, 32},  // outer blocking over panelQR
+			{4096, 48, 0},  // past panelUnblockedMax: inner-blocked panel
+			{2304, 96, 32}, // outer blocking over 2304×32 (unblocked) panels
+		} {
+			a := matrix.Random(tc.m, tc.n, 42)
+			f1, f2 := a.Clone(), a.Clone()
+			tau1 := make([]float64, tc.n)
+			tau2 := make([]float64, tc.n)
+			Dgeqrf(f1, tau1, tc.nb)
+			Dgeqrf(f2, tau2, tc.nb)
+			if !bitsEqual(f1, f2) {
+				t.Fatalf("%dx%d nb=%d: two runs of Dgeqrf differ bitwise", tc.m, tc.n, tc.nb)
+			}
+			for j := range tau1 {
+				if math.Float64bits(tau1[j]) != math.Float64bits(tau2[j]) {
+					t.Fatalf("%dx%d nb=%d: tau differs bitwise at %d", tc.m, tc.n, tc.nb, j)
+				}
 			}
 		}
+	})
+}
+
+// forEachPanelPath runs f twice: with panelQR's shape-only crossover as
+// shipped, and with panelUnblockedMax = 0 so every panel wider than
+// geqr2NB takes the inner-blocked path (Dgeqr2 subpanels + Dlarft/Dlarfb).
+// Small test shapes fall under the crossover, so without the second run
+// the blocked panel kernels would go untested at those shapes.
+func forEachPanelPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, p := range []struct {
+		name string
+		max  int
+	}{{"crossover", panelUnblockedMax}, {"blocked", 0}} {
+		t.Run(p.name, func(t *testing.T) {
+			defer func(old int) { panelUnblockedMax = old }(panelUnblockedMax)
+			panelUnblockedMax = p.max
+			f(t)
+		})
+	}
+}
+
+// TestPanelQRCrossoverDispatch pins which path panelQR takes on each side
+// of panelUnblockedMax: at the crossover a panel is factored by plain
+// Dgeqr2, one column past it by the inner-blocked path, bit for bit.
+func TestPanelQRCrossoverDispatch(t *testing.T) {
+	factor := func(a *matrix.Dense, max int) *matrix.Dense {
+		defer func(old int) { panelUnblockedMax = old }(panelUnblockedMax)
+		panelUnblockedMax = max
+		f := a.Clone()
+		Dgeqrf(f, make([]float64, a.Cols), 0)
+		return f
+	}
+	m := 4096
+	n := panelUnblockedMax / m
+	at := matrix.Random(m, n, 3)
+	unb := at.Clone()
+	Dgeqr2(unb, make([]float64, n))
+	if !bitsEqual(factor(at, panelUnblockedMax), unb) {
+		t.Fatalf("%dx%d (m*n = panelUnblockedMax) not factored by Dgeqr2", m, n)
+	}
+	past := matrix.Random(m, n+1, 4)
+	if !bitsEqual(factor(past, panelUnblockedMax), factor(past, 0)) {
+		t.Fatalf("%dx%d (past panelUnblockedMax) not factored by the inner-blocked path", m, n+1)
 	}
 }
 
@@ -85,26 +133,29 @@ func TestStackQRRunToRunBitwise(t *testing.T) {
 // code (inner panels + block reflectors vs column-at-a-time applies) but
 // must produce the same R up to row signs and roundoff.
 func TestCrossPathRAgreement(t *testing.T) {
-	for _, tc := range []struct{ m, n, nb int }{
-		{257, 48, 0},
-		{400, 96, 32},
-	} {
-		a := matrix.Random(tc.m, tc.n, 7)
-		blocked := a.Clone()
-		tauB := make([]float64, tc.n)
-		Dgeqrf(blocked, tauB, tc.nb)
-		rB := TriuCopy(blocked)
-		NormalizeRSigns(rB, nil)
-		ref := a.Clone()
-		tauR := make([]float64, tc.n)
-		Dgeqr2(ref, tauR)
-		rR := TriuCopy(ref)
-		NormalizeRSigns(rR, nil)
-		tol := 1e-12 * float64(tc.m) * matrix.NormMax(rR)
-		if !matrix.Equal(rB, rR, tol) {
-			t.Fatalf("%dx%d nb=%d: blocked R differs from unblocked reference", tc.m, tc.n, tc.nb)
+	forEachPanelPath(t, func(t *testing.T) {
+		for _, tc := range []struct{ m, n, nb int }{
+			{257, 48, 0},
+			{400, 96, 32},
+			{4096, 48, 0}, // past panelUnblockedMax on the crossover run too
+		} {
+			a := matrix.Random(tc.m, tc.n, 7)
+			blocked := a.Clone()
+			tauB := make([]float64, tc.n)
+			Dgeqrf(blocked, tauB, tc.nb)
+			rB := TriuCopy(blocked)
+			NormalizeRSigns(rB, nil)
+			ref := a.Clone()
+			tauR := make([]float64, tc.n)
+			Dgeqr2(ref, tauR)
+			rR := TriuCopy(ref)
+			NormalizeRSigns(rR, nil)
+			tol := 1e-12 * float64(tc.m) * matrix.NormMax(rR)
+			if !matrix.Equal(rB, rR, tol) {
+				t.Fatalf("%dx%d nb=%d: blocked R differs from unblocked reference", tc.m, tc.n, tc.nb)
+			}
 		}
-	}
+	})
 }
 
 // TestStackQRCrossPathAgreement pins the blocked structured kernel to the

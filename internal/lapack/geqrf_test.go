@@ -120,27 +120,31 @@ func TestDgeqr2ZeroMatrix(t *testing.T) {
 }
 
 func TestDgeqrfMatchesDgeqr2(t *testing.T) {
-	a := matrix.Random(150, 40, 6)
-	f1 := a.Clone()
-	f2 := a.Clone()
-	tau1 := make([]float64, 40)
-	tau2 := make([]float64, 40)
-	Dgeqr2(f1, tau1)
-	Dgeqrf(f2, tau2, 8)
-	r1 := TriuCopy(f1)
-	r2 := TriuCopy(f2)
-	NormalizeRSigns(r1, nil)
-	NormalizeRSigns(r2, nil)
-	if !matrix.Equal(r1, r2, 1e-11) {
-		t.Fatal("blocked and unblocked R differ")
-	}
+	forEachPanelPath(t, func(t *testing.T) {
+		a := matrix.Random(150, 40, 6)
+		f1 := a.Clone()
+		f2 := a.Clone()
+		tau1 := make([]float64, 40)
+		tau2 := make([]float64, 40)
+		Dgeqr2(f1, tau1)
+		Dgeqrf(f2, tau2, 8)
+		r1 := TriuCopy(f1)
+		r2 := TriuCopy(f2)
+		NormalizeRSigns(r1, nil)
+		NormalizeRSigns(r2, nil)
+		if !matrix.Equal(r1, r2, 1e-11) {
+			t.Fatal("blocked and unblocked R differ")
+		}
+	})
 }
 
 func TestDgeqrfVariousBlocks(t *testing.T) {
-	for _, nb := range []int{1, 3, 7, 16, 64, 100} {
-		a := matrix.Random(90, 33, int64(nb))
-		qrCheck(t, a, func(f *matrix.Dense, tau []float64) { Dgeqrf(f, tau, nb) })
-	}
+	forEachPanelPath(t, func(t *testing.T) {
+		for _, nb := range []int{1, 3, 7, 16, 64, 100} {
+			a := matrix.Random(90, 33, int64(nb))
+			qrCheck(t, a, func(f *matrix.Dense, tau []float64) { Dgeqrf(f, tau, nb) })
+		}
+	})
 }
 
 func TestDgeqrfWide(t *testing.T) {

@@ -29,7 +29,11 @@ type Comm struct {
 func WorldComm(ctx *Ctx) *Comm {
 	w := ctx.world
 	g := w.Shared("worldcomm.members", func() any {
-		return w.internGroup(w.n, func(i int) int { return i })
+		ranks := make([]int, w.n)
+		for i := range ranks {
+			ranks[i] = i
+		}
+		return w.internGroup(ranks, ranks) // identity gathered through itself
 	}).(*memberGroup)
 	return &Comm{ctx: ctx, path: "w", members: g.members, group: g.id, rank: ctx.Rank()}
 }
@@ -203,7 +207,7 @@ func (c *Comm) Sub(members []int, label string) *Comm {
 	if myRank < 0 {
 		panic("mpi: Sub called by a rank not in the member list")
 	}
-	g := c.ctx.world.internGroup(len(members), func(i int) int { return c.members[members[i]] })
+	g := c.ctx.world.internGroup(c.members, members)
 	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: g.members, group: g.id, rank: myRank}
 }
 

@@ -746,6 +746,11 @@ func TestCommGroup(t *testing.T) {
 		if again := c.Sub([]int{3, 2, 1, 0}, "rev2"); again.Group() != rev.Group() {
 			t.Errorf("rank %d: equal reversed memberships got groups %d and %d", ctx.Rank(), again.Group(), rev.Group())
 		}
+		// A Sub of a re-ordered comm maps through its parent's table:
+		// reversing the reversed comm is the world again.
+		if back := rev.Sub([]int{3, 2, 1, 0}, "back"); back.Group() != c.Group() {
+			t.Errorf("rank %d: reversed twice has group %d, want the world's %d", ctx.Rank(), back.Group(), c.Group())
+		}
 		half := c.Split(ctx.Rank()/2, 0)
 		if half.Group() == c.Group() || half.Group() == rev.Group() {
 			t.Errorf("rank %d: half-size split shares a group with a different membership", ctx.Rank())

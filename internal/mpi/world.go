@@ -77,9 +77,12 @@ type World struct {
 	shared   map[string]any
 
 	// groups interns communicator member tables by content (see
-	// internGroup), bucketed by hash. groupsMu nests inside sharedMu
-	// (WorldComm interns from a Shared build), never the reverse.
-	groupsMu sync.Mutex
+	// internGroup), bucketed by hash. Lookups take groupsMu for reading
+	// only, so ranks re-scoping a known table never wait on each other;
+	// the write lock is held just to add a new table. groupsMu nests
+	// inside sharedMu (WorldComm interns from a Shared build), never the
+	// reverse.
+	groupsMu sync.RWMutex
 	groups   map[uint64][]*memberGroup
 	nGroups  int
 }
@@ -285,38 +288,56 @@ type memberGroup struct {
 	members []int
 }
 
-// internGroup returns the world's group for the n-entry member table
-// whose i-th world rank is at(i), creating it on first sight. Lookups
-// of a known table allocate nothing, so every rank of a Sub, Split or
-// Dup shares one table instead of holding its own copy. The world keeps
-// one group per distinct table it has seen: a long-lived world that
-// re-scopes the same partitions for every job holds one per partition.
-func (w *World) internGroup(n int, at func(i int) int) *memberGroup {
-	h := uint64(14695981039346656037) ^ uint64(n)
-	for i := 0; i < n; i++ {
-		h = (h ^ uint64(at(i))) * 1099511628211
+// internGroup returns the world's group for the member table whose
+// i-th world rank is ranks[idx[i]], creating it on first sight. Lookups
+// of a known table allocate nothing and take the lock for reading only,
+// so every rank of a Sub, Split or Dup shares one table instead of
+// holding its own copy. The world keeps one group per distinct table it
+// has seen: a long-lived world that re-scopes the same partitions for
+// every job holds one per partition.
+func (w *World) internGroup(ranks, idx []int) *memberGroup {
+	h := uint64(14695981039346656037) ^ uint64(len(idx))
+	for _, m := range idx {
+		h = (h ^ uint64(ranks[m])) * 1099511628211
+	}
+	w.groupsMu.RLock()
+	g := findGroup(w.groups[h], ranks, idx)
+	w.groupsMu.RUnlock()
+	if g != nil {
+		return g
 	}
 	w.groupsMu.Lock()
 	defer w.groupsMu.Unlock()
+	// Another rank of the same communicator may have added the table
+	// between the two locks.
+	if g := findGroup(w.groups[h], ranks, idx); g != nil {
+		return g
+	}
+	g = &memberGroup{id: w.nGroups, members: make([]int, len(idx))}
+	for i, m := range idx {
+		g.members[i] = ranks[m]
+	}
+	w.nGroups++
+	w.groups[h] = append(w.groups[h], g)
+	return g
+}
+
+// findGroup returns the group in bucket holding the table ranks[idx[i]],
+// or nil.
+func findGroup(bucket []*memberGroup, ranks, idx []int) *memberGroup {
 next:
-	for _, g := range w.groups[h] {
-		if len(g.members) != n {
+	for _, g := range bucket {
+		if len(g.members) != len(idx) {
 			continue
 		}
-		for i, m := range g.members {
-			if m != at(i) {
+		for i, m := range idx {
+			if g.members[i] != ranks[m] {
 				continue next
 			}
 		}
 		return g
 	}
-	g := &memberGroup{id: w.nGroups, members: make([]int, n)}
-	for i := range g.members {
-		g.members[i] = at(i)
-	}
-	w.nGroups++
-	w.groups[h] = append(w.groups[h], g)
-	return g
+	return nil
 }
 
 // Grid returns the platform description ranks are placed on.
