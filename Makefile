@@ -52,10 +52,12 @@ stream:
 
 # Bounded ingest plus the snapshot-equivalence tests — the CI `stream`
 # job. -count=1 defeats the test cache so the bitwise fold-vs-one-shot
-# contract genuinely re-executes.
+# contract genuinely re-executes. TestStagedUninterruptedMatchesFactorize
+# pins SnapshotR and the staged executor, which share Factorize's tree
+# walker, to Factorize bit for bit on every tree shape.
 stream-smoke:
 	$(GO) run ./cmd/gridbench -stream -quick
-	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestOutOfCoreBitwise' ./internal/sched ./internal/stream
+	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestOutOfCoreBitwise|TestStagedUninterruptedMatchesFactorize' ./internal/core ./internal/sched ./internal/stream
 
 # Regenerate the committed baseline after an intentional change to the
 # algorithms' communication or computation structure.

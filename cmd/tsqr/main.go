@@ -302,11 +302,18 @@ func report(w *mpi.World, name string, start time.Time) {
 		name, time.Since(start).Round(time.Microsecond), c.Total().Msgs, c.Inter().Msgs)
 }
 
+// maxTriuDiff is the largest entrywise gap between the upper triangles
+// of a and b, or NaN when any compared entry is NaN, so a NaN R can never
+// print as a small error.
 func maxTriuDiff(a, b *matrix.Dense) float64 {
 	var worst float64
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i <= j && i < a.Rows; i++ {
-			if d := math.Abs(a.At(i, j) - b.At(i, j)); d > worst {
+			d := math.Abs(a.At(i, j) - b.At(i, j))
+			if math.IsNaN(d) {
+				return math.NaN()
+			}
+			if d > worst {
 				worst = d
 			}
 		}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gridqr/internal/matrix"
 )
 
 // buildOnce compiles the command under test into a temp dir.
@@ -89,5 +92,30 @@ func TestCLIErrors(t *testing.T) {
 		if out, err := runCLI(t, bin, args...); err == nil {
 			t.Fatalf("%v: expected failure, got:\n%s", args, out)
 		}
+	}
+}
+
+// TestMaxTriuDiffNaN: a NaN on either side of the compared triangle makes
+// the reported error NaN, so a NaN R never prints as a small
+// max |R - R_seq|. Entries below the diagonal are not compared.
+func TestMaxTriuDiffNaN(t *testing.T) {
+	ref := matrix.FromRows([][]float64{{1, 2, 3}, {0, 4, 5}, {0, 0, 6}})
+	if got := maxTriuDiff(ref, ref); got != 0 {
+		t.Fatalf("identical triangles: diff = %g want 0", got)
+	}
+	for _, at := range [][2]int{{0, 0}, {1, 2}, {2, 2}} {
+		r := ref.Clone()
+		r.Set(at[0], at[1], math.NaN())
+		if got := maxTriuDiff(r, ref); !math.IsNaN(got) {
+			t.Fatalf("NaN in R at %v: diff = %g want NaN", at, got)
+		}
+		if got := maxTriuDiff(ref, r); !math.IsNaN(got) {
+			t.Fatalf("NaN in R_seq at %v: diff = %g want NaN", at, got)
+		}
+	}
+	r := ref.Clone()
+	r.Set(2, 0, math.NaN())
+	if got := maxTriuDiff(r, ref); got != 0 {
+		t.Fatalf("NaN below the diagonal: diff = %g want 0", got)
 	}
 }

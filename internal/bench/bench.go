@@ -52,9 +52,10 @@ type Run struct {
 	// default crossover and never block; overlap studies lower both so
 	// PDGEQRF actually performs block updates.
 	NB, NX int
-	// Overlap selects the compute/communication-overlap variants:
-	// posted-receive TSQR with the flat cross-site stage, or lookahead
-	// PDGEQRF. Traffic totals are identical to the blocking variants.
+	// Overlap selects the compute/communication-overlap variants: TSQR
+	// with the flat cross-site stage (every TSQR reduction pre-posts its
+	// receives), or lookahead PDGEQRF. Traffic totals are identical to
+	// the default variants.
 	Overlap bool
 	// Traced records a structured telemetry trace and metrics registry
 	// during the run, enabling the critical-path and communication-matrix

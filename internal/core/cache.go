@@ -6,30 +6,26 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// domMerge is one schedule entry relevant to a particular domain, with
-// the global schedule index that doubles as its message tag.
-type domMerge struct {
-	tag int
-	m   merge
-}
-
 // compiledSchedule bundles everything rank-independent that Factorize
 // derives from (communicator, config): the domain layout, the reduction
-// schedule, and — crucially for scale — each domain's own slice of the
-// schedule, so a leader walks O(its merges) instead of scanning the full
-// merge list. Built once per world and shared by every rank through
-// mpi.World.Shared: at 32k ranks a per-rank layout plus a per-rank
-// schedule scan would cost O(ranks²) memory and time, which is exactly
-// what the event-driven engine exists to avoid.
+// schedule with its stage leveling, and — crucially for scale — each
+// domain's own steps, so a leader walks O(its merges) instead of
+// scanning the full merge list. Built once per world and shared by
+// every rank through mpi.World.Shared: at 32k ranks a per-rank layout
+// plus a per-rank schedule scan would cost O(ranks²) memory and time,
+// which is exactly what the event-driven engine exists to avoid.
 type compiledSchedule struct {
-	l       *layout
-	sched   []merge
-	rootDom int
-	// perDom[d] lists the schedule entries where domain d is the dst or
-	// the src, in schedule order. A domain's entries end at its single
-	// outgoing merge (it is absorbed there and never reappears), except
-	// for the root, which has no outgoing entry.
-	perDom [][]domMerge
+	l *layout
+	// merges is the schedule in order (index = tag) with each merge's
+	// stage; staged checkpoints carry it, so it is read-only.
+	merges    []CkptMerge
+	rootDom   int
+	lastStage int
+	// steps[d] is domain d's walk: the merges where d is the dst or the
+	// src, in schedule order, peers named by their leader rank. It ends
+	// at d's single outgoing merge (d is absorbed there and never
+	// reappears), except for the root, which has no outgoing step.
+	steps [][]step
 }
 
 // scheduleFor returns the compiled schedule for this (comm, cfg) pair,
@@ -53,11 +49,17 @@ func scheduleFor(comm *mpi.Comm, cfg Config) *compiledSchedule {
 		} else {
 			sched, rootDom = buildSchedule(cfg.Tree, l, cfg.ShuffleSeed)
 		}
-		perDom := make([][]domMerge, len(l.domains))
-		for tag, m := range sched {
-			perDom[m.dst] = append(perDom[m.dst], domMerge{tag: tag, m: m})
-			perDom[m.src] = append(perDom[m.src], domMerge{tag: tag, m: m})
+		cs := &compiledSchedule{l: l, rootDom: rootDom,
+			merges: make([]CkptMerge, len(sched)), steps: make([][]step, len(l.domains))}
+		for tag, stage := range stageMerges(sched) {
+			m := sched[tag]
+			cs.merges[tag] = CkptMerge{Dst: m.dst, Src: m.src, Stage: stage, Tag: tag}
+			cs.lastStage = max(cs.lastStage, stage)
+			cs.steps[m.dst] = append(cs.steps[m.dst],
+				step{peer: l.domains[m.src].leader(), tag: tag, stage: stage, recv: true})
+			cs.steps[m.src] = append(cs.steps[m.src],
+				step{peer: l.domains[m.dst].leader(), tag: tag, stage: stage})
 		}
-		return &compiledSchedule{l: l, sched: sched, rootDom: rootDom, perDom: perDom}
+		return cs
 	}).(*compiledSchedule)
 }

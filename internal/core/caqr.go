@@ -167,23 +167,7 @@ const caqrTagStride = 1 << 14
 // ranks: binomial within each cluster's actives, then binomial across.
 // Merges reference world ranks directly (one domain per process).
 func caqrSchedule(g interface{ ClusterOf(int) int }, active []int) []merge {
-	var perCluster [][]int
-	last := -1
-	for _, r := range active {
-		c := g.ClusterOf(r)
-		if c != last {
-			perCluster = append(perCluster, nil)
-			last = c
-		}
-		perCluster[len(perCluster)-1] = append(perCluster[len(perCluster)-1], r)
-	}
-	var ms []merge
-	var roots []int
-	for _, ranks := range perCluster {
-		ms = append(ms, binomialSchedule(ranks)...)
-		roots = append(roots, ranks[0])
-	}
-	return append(ms, binomialSchedule(roots)...)
+	return twoLevelSchedule(groupBy(active, g.ClusterOf))
 }
 
 // caqrAbsorb handles the dst side of one merge: receive the partner's R

@@ -104,14 +104,15 @@ type Config struct {
 	// implicitly (half the flops of the explicit route). Requires data
 	// mode and one domain per process.
 	KeepFactors bool
-	// Overlap switches the R-factor reduction to the nonblocking runtime:
-	// leaders post every incoming receive before their first merge and
-	// complete them in schedule order, overlapping each stacked-triangle
-	// QR with the transfers still in flight; with TreeGrid the cross-site
-	// stage additionally goes flat (every cluster root sends straight to
-	// the global root) so the C−1 inter-site transfers fly concurrently
-	// instead of chaining through intermediate merges. Message, byte and
-	// flop totals are identical to the blocking variant.
+	// Overlap selects the flat cross-site stage: with TreeGrid, every
+	// cluster root sends straight to the global root, so the C−1
+	// inter-site transfers fly concurrently instead of chaining through
+	// intermediate merges; other trees ignore it. Pre-posting receives
+	// is not an option: every ungated reduction posts all of a leader's
+	// incoming receives before its first merge and completes them in
+	// schedule order, overlapping each stacked-triangle QR with the
+	// transfers still in flight. Message, byte and flop totals equal
+	// the binomial cross-site stage's.
 	Overlap bool
 	// ShuffleSeed seeds TreeBinaryShuffled's permutation.
 	ShuffleSeed int64
@@ -168,6 +169,17 @@ func (in Input) validate(comm *mpi.Comm) {
 		if in.Local == nil || in.Local.Rows != want || in.Local.Cols != in.N {
 			panic(fmt.Sprintf("core: rank %d local block mismatch", r))
 		}
+	}
+}
+
+// checkDomainHeight panics unless dom, the caller's own domain, holds at
+// least N rows. Every rank checks only its own domain; collectively that
+// covers all domains (checking the whole decomposition per rank would
+// cost O(domains) at every rank — quadratic work at scale).
+func (in Input) checkDomainHeight(dom domain) {
+	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
+		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
+			dom.id, rows, in.N))
 	}
 }
 

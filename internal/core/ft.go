@@ -366,15 +366,12 @@ func (st *ftState) combine(acc *matrix.Dense, set []int, other *matrix.Dense, ot
 	return r, union
 }
 
-// ftMerge is one edge of an epoch's reduction tree: src's partial R is
-// absorbed by dst.
-type ftMerge struct{ dst, src int }
-
 // ftSchedule builds the deterministic reduction tree over the live ranks:
 // binomial within each cluster, then binomial across the cluster roots
-// (the paper's grid-tuned shape, re-formed over survivors). The root is
-// live[0] — rank 0 whenever the coordinator is alive.
-func ftSchedule(live []int, clusterOf func(int) int) []ftMerge {
+// (the paper's grid-tuned shape, re-formed over survivors). Clusters are
+// taken in cluster-id order, so the root is live[0] — rank 0 whenever
+// the coordinator is alive. Merges name ranks.
+func ftSchedule(live []int, clusterOf func(int) int) []merge {
 	groups := map[int][]int{}
 	var order []int
 	for _, r := range live {
@@ -385,25 +382,11 @@ func ftSchedule(live []int, clusterOf func(int) int) []ftMerge {
 		groups[c] = append(groups[c], r)
 	}
 	sort.Ints(order)
-	var merges []ftMerge
-	roots := make([]int, 0, len(order))
-	for _, c := range order {
-		merges = append(merges, ftBinomial(groups[c])...)
-		roots = append(roots, groups[c][0])
+	byCluster := make([][]int, len(order))
+	for i, c := range order {
+		byCluster[i] = groups[c]
 	}
-	return append(merges, ftBinomial(roots)...)
-}
-
-// ftBinomial emits binomial-tree merges over a rank list, rooted at its
-// first element.
-func ftBinomial(list []int) []ftMerge {
-	var out []ftMerge
-	for gap := 1; gap < len(list); gap *= 2 {
-		for i := 0; i+gap < len(list); i += 2 * gap {
-			out = append(out, ftMerge{dst: list[i], src: list[i+gap]})
-		}
-	}
-	return out
+	return twoLevelSchedule(byCluster)
 }
 
 // Payload encodings. Tree messages: [code, ...]; data payloads carry the

@@ -18,12 +18,11 @@ import (
 // process required). The handle is per-rank: every rank of the
 // factorization's communicator must call the Apply methods collectively.
 type ImplicitQ struct {
+	// walked is this leader's forward walk: merge log and outgoing send.
+	walked
 	n       int
 	offsets []int
 	leaf    leafState
-	log     []mergeRec
-	sentTo  int
-	sentTag int
 	root    int // world rank of the tree root's leader
 	leader  bool
 	applies int // collective counter scoping each apply's tag range

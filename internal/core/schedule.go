@@ -61,18 +61,45 @@ func binomialSchedule(ids []int) []merge {
 // gridSchedule is the paper's tuned tree: a binomial reduction among each
 // cluster's domains, then a binomial reduction among the cluster roots.
 // Only the second stage crosses clusters: C−1 inter-cluster messages.
-func gridSchedule(l *layout) []merge {
-	var ms []merge
-	var roots []int
-	for _, ids := range l.perCluster {
-		if len(ids) == 0 {
-			continue
-		}
+func gridSchedule(l *layout) []merge { return twoLevelSchedule(l.perCluster) }
+
+// overlapSchedule is gridSchedule with a flat cross-site stage
+// (Config.Overlap): after the per-cluster binomial stage every cluster
+// root sends straight to the first cluster's root. A binomial
+// cross-site stage also needs C−1 inter-site messages but chains them —
+// each round's transfer cannot start before the previous round's merge
+// finished on some intermediate root. Flat, all C−1 triangles leave as
+// soon as their clusters finish, so their latency-dominated flights run
+// concurrently while the root merges the ones already arrived. Any
+// reduction over d domains performs exactly d−1 merges of one packed
+// triangle each, so message, byte and flop totals (perfmodel's
+// TSQRExactTotals and TSQRExactCrossSite) are those of gridSchedule.
+func overlapSchedule(l *layout) (ms []merge, root int) {
+	ms, roots := binomialGroups(l.perCluster)
+	for _, r := range roots[1:] {
+		ms = append(ms, merge{dst: roots[0], src: r})
+	}
+	return ms, roots[0]
+}
+
+// twoLevelSchedule reduces each group with a binomial tree, then the
+// group roots with another: the grid tree's shape over any grouping of
+// ids (clusters of domains, CAQR's active ranks by site, FT survivors by
+// cluster). The root is groups[0][0].
+func twoLevelSchedule(groups [][]int) []merge {
+	ms, roots := binomialGroups(groups)
+	return append(ms, binomialSchedule(roots)...)
+}
+
+// binomialGroups reduces every group (none empty) onto its first id with
+// a binomial tree, group after group, and returns those merges plus the
+// group roots in group order.
+func binomialGroups(groups [][]int) (ms []merge, roots []int) {
+	for _, ids := range groups {
 		ms = append(ms, binomialSchedule(ids)...)
 		roots = append(roots, ids[0])
 	}
-	ms = append(ms, binomialSchedule(roots)...)
-	return ms
+	return ms, roots
 }
 
 // groupBy splits an ordered domain-id list into consecutive runs with
@@ -104,28 +131,16 @@ func groupBy(ids []int, key func(id int) int) [][]int {
 // outgoing send (each binomial stage absorbs a domain at most once, and
 // an absorbed domain never re-appears upstream).
 func multiLevelSchedule(l *layout) (ms []merge, root int) {
-	var clusterRoots []int
+	// Stages 1–2 per cluster: binomial among each node's domains, on
+	// shared memory, then among the cluster's node roots, on the switch.
+	// The cluster root is its first domain.
+	clusterRoots := make([]int, 0, len(l.perCluster))
 	for _, ids := range l.perCluster {
-		if len(ids) == 0 {
-			continue
-		}
-		// Stage 1: binomial among each node's domains, on shared memory.
-		var nodeRoots []int
-		for _, nodeIDs := range groupBy(ids, func(id int) int { return l.domains[id].node }) {
-			ms = append(ms, binomialSchedule(nodeIDs)...)
-			nodeRoots = append(nodeRoots, nodeIDs[0])
-		}
-		// Stage 2: binomial among the cluster's node roots, on the switch.
-		ms = append(ms, binomialSchedule(nodeRoots)...)
-		clusterRoots = append(clusterRoots, nodeRoots[0])
+		ms = append(ms, twoLevelSchedule(groupBy(ids, func(id int) int { return l.domains[id].node }))...)
+		clusterRoots = append(clusterRoots, ids[0])
 	}
-	// Stage 3: binomial among cluster roots within each continent.
-	var continentRoots []int
-	for _, contIDs := range groupBy(clusterRoots, func(id int) int { return l.domains[id].continent }) {
-		ms = append(ms, binomialSchedule(contIDs)...)
-		continentRoots = append(continentRoots, contIDs[0])
-	}
-	// Stage 4: binomial among continent roots, over the widest links.
-	ms = append(ms, binomialSchedule(continentRoots)...)
-	return ms, continentRoots[0]
+	// Stages 3–4: binomial among cluster roots within each continent,
+	// then among continent roots, over the widest links.
+	ms = append(ms, twoLevelSchedule(groupBy(clusterRoots, func(id int) int { return l.domains[id].continent }))...)
+	return ms, clusterRoots[0]
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 )
@@ -99,7 +97,8 @@ type CkptMerge struct {
 // RankCheckpoint is the fragment one rank contributes when a staged run
 // stops: its domain's current R factor (packed upper triangle) plus the
 // schedule metadata, carried redundantly so any fragment can seed the
-// assembled checkpoint. Ranks with nothing left to contribute (absorbed
+// assembled checkpoint (Merges is shared between fragments and with the
+// compiled schedule: read-only). Ranks with nothing left to contribute (absorbed
 // before the cut, or rank 0 merely awaiting the final delivery) report
 // preemption without a fragment.
 type RankCheckpoint struct {
@@ -187,14 +186,15 @@ func stageMerges(sched []merge) []int {
 
 // checkStagedConfig rejects configurations the staged executor does not
 // support: it checkpoints one R per rank, so every domain must be a
-// single process, and the backward Q pass / FT protocol / overlap
-// pipelining have no stage-boundary freeze points.
+// single process; the backward Q pass and the FT protocol have no
+// stage-boundary freeze points; and preempt/resume is verified only on
+// the trees Config.Tree selects, not on Overlap's flat cross-site stage.
 func checkStagedConfig(comm *mpi.Comm, cfg Config, l *layout) {
 	if cfg.WantQ || cfg.KeepFactors {
 		panic("core: staged TSQR supports R-only runs")
 	}
 	if cfg.Overlap {
-		panic("core: staged TSQR does not support overlap pipelining")
+		panic("core: staged TSQR does not support the overlap schedule")
 	}
 	if cfg.FT.Enabled {
 		panic("core: staged TSQR does not compose with FT-TSQR")
@@ -215,67 +215,17 @@ func FactorizeStaged(comm *mpi.Comm, in Input, cfg Config, gate *PreemptGate) *S
 	in.validate(comm)
 	ctx := comm.Ctx()
 	cs := scheduleFor(comm, cfg)
-	l, rootDom := cs.l, cs.rootDom
-	checkStagedConfig(comm, cfg, l)
-	me := comm.Rank()
-	dom := l.mine(me)
-	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
-		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
-			dom.id, rows, in.N))
-	}
-	stages := stagesFor(comm, cfg, cs)
+	checkStagedConfig(comm, cfg, cs.l)
+	dom := cs.l.mine(comm.Rank())
+	in.checkDomainHeight(dom)
 
 	leafDone := ctx.Phase("tsqr.panel")
 	leaf := factorLeaf(comm, in, dom, cfg)
 	leafDone()
 
-	res := &StagedResult{Domains: len(l.domains)}
-	combineDone := ctx.Phase("tsqr.combine")
-	defer combineDone()
-
-	r := leaf.r
-	ckpt := func(stopStage int) {
-		res.Preempted = true
-		res.Ckpt = &RankCheckpoint{
-			M: in.M, N: in.N, Procs: comm.Size(),
-			Dom: dom.id, Stage: stopStage, RootDom: rootDom,
-			Merges: ckptMerges(cs, stages),
-		}
-		if ctx.HasData() {
-			res.Ckpt.R = packTriu(r)
-		}
-	}
-
-	absorbed := false
-	for _, dm := range cs.perDom[dom.id] {
-		stage := stages[dm.tag]
-		if gate.shouldStop(stage) {
-			ckpt(stage)
-			return res
-		}
-		tag, m := dm.tag, dm.m
-		if m.dst == dom.id {
-			src := l.domains[m.src].leader()
-			if ctx.HasData() {
-				rOther := unpackTriu(comm.Recv(src, rTagBase+tag), in.N)
-				r, _, _ = lapack.StackQR(r, rOther)
-			} else {
-				comm.Recv(src, rTagBase+tag)
-			}
-			ctx.ChargeKernel("stack_qr", flops.StackQR(in.N), in.N)
-		} else {
-			dst := l.domains[m.dst].leader()
-			if ctx.HasData() {
-				comm.Send(dst, packTriu(r), rTagBase+tag)
-			} else {
-				comm.SendBytes(dst, triuBytes(in.N), rTagBase+tag)
-			}
-			absorbed = true
-			break // my R has been absorbed; forward pass over
-		}
-	}
-	finishStaged(comm, in.N, rootDom, maxStage(stages), gate, r, absorbed, res, ckpt)
-	return res
+	frag := RankCheckpoint{M: in.M, N: in.N, Procs: comm.Size(),
+		Dom: dom.id, RootDom: cs.rootDom, Merges: cs.merges}
+	return runStaged(comm, cs.steps[dom.id], cs.lastStage, gate, leaf.r, frag)
 }
 
 // ResumeStaged completes a checkpointed run on comm, which must have the
@@ -286,145 +236,74 @@ func FactorizeStaged(comm *mpi.Comm, in Input, cfg Config, gate *PreemptGate) *S
 // the result bitwise identical wherever the job resumes. The gate may
 // stop the resumed run again at a later boundary.
 func ResumeStaged(comm *mpi.Comm, sc *StageCheckpoint, gate *PreemptGate) *StagedResult {
-	ctx := comm.Ctx()
 	if comm.Size() != sc.Procs {
 		panic(fmt.Sprintf("core: resume on %d procs, checkpoint has %d", comm.Size(), sc.Procs))
 	}
 	me := comm.Rank()
-	res := &StagedResult{Domains: sc.Procs}
-	combineDone := ctx.Phase("tsqr.combine")
-	defer combineDone()
-
-	// A domain is live unless a merge below the cut absorbed it. (In data
+	// My steps are the merges at or above the cut that involve me. A
+	// domain is live unless a merge below the cut absorbed it. (In data
 	// mode the fragment map says the same thing; deriving liveness from
-	// the schedule keeps cost-only checkpoints — which carry no triangles —
-	// working identically.)
-	live := true
-	maxSt := 0
+	// the schedule keeps cost-only checkpoints — which carry no
+	// triangles — working identically.)
+	live, lastStage := true, 0
+	var steps []step
 	for _, cm := range sc.Merges {
-		if cm.Src == me && cm.Stage < sc.Stage {
-			live = false
-		}
-		if cm.Stage > maxSt {
-			maxSt = cm.Stage
+		lastStage = max(lastStage, cm.Stage)
+		switch {
+		case cm.Stage < sc.Stage:
+			if cm.Src == me {
+				live = false
+			}
+		case cm.Dst == me:
+			steps = append(steps, step{peer: cm.Src, tag: cm.Tag, stage: cm.Stage, recv: true})
+		case cm.Src == me:
+			steps = append(steps, step{peer: cm.Dst, tag: cm.Tag, stage: cm.Stage})
 		}
 	}
 	var r *matrix.Dense
-	if live && ctx.HasData() {
+	if live && comm.Ctx().HasData() {
 		r = unpackTriu(sc.R[me], sc.N)
 	}
-
-	ckpt := func(stopStage int) {
-		res.Preempted = true
-		res.Ckpt = &RankCheckpoint{
-			M: sc.M, N: sc.N, Procs: sc.Procs,
-			Dom: me, Stage: stopStage, RootDom: sc.RootDom,
-			Merges: sc.Merges,
-		}
-		if ctx.HasData() {
-			res.Ckpt.R = packTriu(r)
-		}
-	}
-
-	absorbed := !live
-	if live {
-		for _, cm := range sc.Merges {
-			if cm.Stage < sc.Stage || (cm.Dst != me && cm.Src != me) {
-				continue
-			}
-			if gate.shouldStop(cm.Stage) {
-				ckpt(cm.Stage)
-				return res
-			}
-			if cm.Dst == me {
-				if ctx.HasData() {
-					rOther := unpackTriu(comm.Recv(cm.Src, rTagBase+cm.Tag), sc.N)
-					r, _, _ = lapack.StackQR(r, rOther)
-				} else {
-					comm.Recv(cm.Src, rTagBase+cm.Tag)
-				}
-				ctx.ChargeKernel("stack_qr", flops.StackQR(sc.N), sc.N)
-			} else {
-				if ctx.HasData() {
-					comm.Send(cm.Dst, packTriu(r), rTagBase+cm.Tag)
-				} else {
-					comm.SendBytes(cm.Dst, triuBytes(sc.N), rTagBase+cm.Tag)
-				}
-				absorbed = true
-				break
-			}
-		}
-	}
-	finishStaged(comm, sc.N, sc.RootDom, maxSt, gate, r, absorbed, res, ckpt)
-	return res
+	frag := RankCheckpoint{M: sc.M, N: sc.N, Procs: sc.Procs,
+		Dom: me, RootDom: sc.RootDom, Merges: sc.Merges}
+	return runStaged(comm, steps, lastStage, gate, r, frag)
 }
 
-// finishStaged performs the root-delivery step shared by the staged
-// executor and the resume path: when a topology-oblivious tree finishes
-// away from rank 0, one extra message — gated like a final stage, so a
-// preemption can still stop before it — moves the result home. Absorbed
-// ranks other than 0 have nothing left to do; rank 0, when it is not the
-// root, must wait for (or checkpoint before) the delivery.
-func finishStaged(comm *mpi.Comm, n, rootDom, maxStage int,
-	gate *PreemptGate, r *matrix.Dense, absorbed bool, res *StagedResult, ckpt func(stage int)) {
+// runStaged is the staged executor's combine phase, shared by the first
+// run and every resume: the gated walk of this rank's steps, then the
+// root-delivery hop gated as one more stage, lastStage+1, so a
+// preemption can still stop before it. Domain ids are comm ranks here.
+// When the gate stops this rank, frag (the checkpoint metadata) gets
+// the stop stage and this rank's R. Rank 0 stopped while merely awaiting
+// the delivery holds no live R and reports preemption without one.
+func runStaged(comm *mpi.Comm, steps []step, lastStage int, gate *PreemptGate,
+	r *matrix.Dense, frag RankCheckpoint) *StagedResult {
 	ctx := comm.Ctx()
-	me := comm.Rank()
-	if rootDom != 0 {
-		deliverStage := maxStage + 1
-		switch me {
-		case rootDom:
-			if gate.shouldStop(deliverStage) {
-				ckpt(deliverStage)
-				return
-			}
-			if ctx.HasData() {
-				comm.Send(0, packTriu(r), finalRTag)
-			} else {
-				comm.SendBytes(0, triuBytes(n), finalRTag)
-			}
-			return
-		case 0:
-			if gate.shouldStop(deliverStage) {
-				// Rank 0 holds no live R here — it only awaits the
-				// delivery — so it reports preemption without a fragment.
-				res.Preempted = true
-				return
-			}
-			if buf := comm.Recv(rootDom, finalRTag); ctx.HasData() {
-				r = unpackTriu(buf, n)
-			}
-			absorbed = false
+	combineDone := ctx.Phase("tsqr.combine")
+	defer combineDone()
+	res := &StagedResult{Domains: frag.Procs}
+	stop := func(stage int, r *matrix.Dense) *StagedResult {
+		res.Preempted = true
+		frag.Stage = stage
+		if ctx.HasData() {
+			frag.R = packTriu(r)
 		}
+		res.Ckpt = &frag
+		return res
 	}
-	if me == 0 && !absorbed && ctx.HasData() {
+
+	w := walkTree(comm, frag.N, steps, rTagBase, gate, r)
+	if w.stopped > 0 {
+		return stop(w.stopped, w.r)
+	}
+	r, stopped := deliverRoot(comm, frag.N, frag.RootDom, finalRTag, gate, lastStage+1, w.r)
+	switch {
+	case stopped && comm.Rank() == frag.RootDom:
+		return stop(lastStage+1, r)
+	case stopped:
+		res.Preempted = true
+	case comm.Rank() == 0 && ctx.HasData():
 		res.R = r
 	}
-}
-
-func maxStage(stages []int) int {
-	max := 0
-	for _, s := range stages {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// stagesFor caches the stage leveling next to the compiled schedule.
-func stagesFor(comm *mpi.Comm, cfg Config, cs *compiledSchedule) []int {
-	key := fmt.Sprintf("core.stages|g=%d|dpc=%d|tree=%d|seed=%d",
-		comm.Group(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed)
-	return comm.Ctx().World().Shared(key, func() any {
-		return stageMerges(cs.sched)
-	}).([]int)
-}
-
-// ckptMerges renders the compiled schedule with its stage labels.
-func ckptMerges(cs *compiledSchedule, stages []int) []CkptMerge {
-	out := make([]CkptMerge, len(cs.sched))
-	for tag, m := range cs.sched {
-		out[tag] = CkptMerge{Dst: m.dst, Src: m.src, Stage: stages[tag], Tag: tag}
-	}
-	return out
+	return res
 }

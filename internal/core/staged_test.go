@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridqr/internal/grid"
+	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
@@ -103,9 +104,21 @@ func referenceRun(t *testing.T, g *grid.Grid, global *matrix.Dense, m, n int,
 }
 
 func TestStagedUninterruptedMatchesFactorize(t *testing.T) {
-	g := grid.SmallTestGrid(2, 2, 2) // 8 procs, 2 clusters
-	m, n := 64, 6
-	for _, tree := range []Tree{TreeGrid, TreeBinary, TreeBinaryShuffled} {
+	small := grid.SmallTestGrid(2, 2, 2)           // 8 procs, 2 clusters
+	multi := grid.SyntheticHier([]int{2, 1}, 2, 2) // 12 procs, 3 sites on 2 continents
+	n := 6
+	for _, tc := range []struct {
+		tree Tree
+		g    *grid.Grid
+	}{
+		{TreeGrid, small},
+		{TreeBinary, small},
+		{TreeBinaryShuffled, small}, // root away from rank 0: the delivery hop
+		{TreeFlat, small},
+		{TreeMultiLevel, multi},
+	} {
+		tree, g := tc.tree, tc.g
+		m := 8 * g.Procs()
 		cfg := Config{Tree: tree, ShuffleSeed: 3}
 		global := matrix.Random(m, n, 7)
 		ref, refMsgs := referenceRun(t, g, global, m, n, cfg)
@@ -121,7 +134,39 @@ func TestStagedUninterruptedMatchesFactorize(t *testing.T) {
 		if !bitwiseEqual(results[0].R, ref) {
 			t.Fatalf("tree=%v: staged R differs bitwise from Factorize", tree)
 		}
+		snap, snapMsgs := snapshotLeaves(t, g, global, m, n, cfg)
+		if snapMsgs != refMsgs {
+			t.Fatalf("tree=%v: snapshot msgs %d != Factorize %d", tree, snapMsgs, refMsgs)
+		}
+		if !bitwiseEqual(snap, ref) {
+			t.Fatalf("tree=%v: SnapshotR over the leaf Rs differs bitwise from Factorize", tree)
+		}
 	}
+}
+
+// snapshotLeaves factors every rank's row block locally, the way
+// Factorize's single-process leaves do, and reduces the leaf Rs with
+// SnapshotR. It returns rank 0's R and the world's message count.
+func snapshotLeaves(t *testing.T, g *grid.Grid, global *matrix.Dense, m, n int,
+	cfg Config) (*matrix.Dense, int64) {
+	t.Helper()
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	w := mpi.NewWorld(g)
+	var mu sync.Mutex
+	var r *matrix.Dense
+	w.Run(func(ctx *mpi.Ctx) {
+		local := scalapack.Distribute(global, offsets, ctx.Rank())
+		lapack.Dgeqrf(local, make([]float64, n), cfg.NB)
+		leaf := matrix.New(n, n)
+		lapack.TriuInto(leaf, local)
+		got := SnapshotR(mpi.WorldComm(ctx), leaf, n, cfg)
+		if ctx.Rank() == 0 {
+			mu.Lock()
+			r = got
+			mu.Unlock()
+		}
+	})
+	return r, w.Counters().Total().Msgs
 }
 
 // TestStagedPreemptResumeBitwise is the PR's acceptance criterion: a job

@@ -30,74 +30,24 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 	in.validate(comm)
 	ctx := comm.Ctx()
 	cs := scheduleFor(comm, cfg)
-	l, rootDom := cs.l, cs.rootDom
+	l := cs.l
 	me := comm.Rank()
 	dom := l.mine(me)
-	// Every rank checks its own domain's height; collectively that covers
-	// all domains (checking the whole decomposition per rank would cost
-	// O(domains) at every rank — quadratic work at scale).
-	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
-		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
-			dom.id, rows, in.N))
-	}
+	in.checkDomainHeight(dom)
 
 	leafDone := ctx.Phase("tsqr.panel")
 	leaf := factorLeaf(comm, in, dom, cfg)
 	leafDone()
 	res := &Result{Domains: len(l.domains)}
 
-	// Forward reduction over domain leaders. Non-leaders are done until
-	// the Q pass.
-	r := leaf.r
-	var log []mergeRec
-	sentTo, sentTag := -1, -1
+	// Forward reduction over domain leaders, then the result's trip home.
+	// Non-leaders are done until the Q pass.
+	w := walked{r: leaf.r, sentTo: -1, sentTag: -1}
+	root := l.domains[cs.rootDom].leader()
 	if me == dom.leader() {
 		combineDone := ctx.Phase("tsqr.combine")
-		if cfg.Overlap {
-			r, log, sentTo, sentTag = combineOverlap(comm, in, l, dom, cs.perDom[dom.id], r)
-		} else {
-			for _, dm := range cs.perDom[dom.id] {
-				tag, m := dm.tag, dm.m
-				if m.dst == dom.id {
-					src := l.domains[m.src].leader()
-					rec := mergeRec{partner: src, tag: tag}
-					if ctx.HasData() {
-						rOther := unpackTriu(comm.Recv(src, rTagBase+tag), in.N)
-						r, rec.v, rec.tau = lapack.StackQR(r, rOther)
-					} else {
-						comm.Recv(src, rTagBase+tag)
-					}
-					ctx.ChargeKernel("stack_qr", flops.StackQR(in.N), in.N)
-					log = append(log, rec)
-				} else {
-					dst := l.domains[m.dst].leader()
-					if ctx.HasData() {
-						comm.Send(dst, packTriu(r), rTagBase+tag)
-					} else {
-						comm.SendBytes(dst, triuBytes(in.N), rTagBase+tag)
-					}
-					sentTo, sentTag = dst, tag
-					break // my R has been absorbed; forward pass over
-				}
-			}
-		}
-		// A topology-oblivious tree can finish away from world rank 0
-		// (randomly distributed ranks, paper Fig. 1's remark); deliver
-		// the result with one extra message.
-		rootLeader := l.domains[rootDom].leader()
-		switch {
-		case me == rootLeader && rootLeader != 0:
-			if ctx.HasData() {
-				comm.Send(0, packTriu(r), finalRTag)
-			} else {
-				comm.SendBytes(0, triuBytes(in.N), finalRTag)
-			}
-		case me == 0 && rootLeader != 0:
-			if buf := comm.Recv(rootLeader, finalRTag); ctx.HasData() {
-				r = unpackTriu(buf, in.N)
-			}
-		}
-		if me == 0 && ctx.HasData() {
+		w = walkTree(comm, in.N, cs.steps[dom.id], rTagBase, nil, leaf.r)
+		if r, _ := deliverRoot(comm, in.N, root, finalRTag, nil, 0, w.r); me == 0 && ctx.HasData() {
 			res.R = r
 		}
 		combineDone()
@@ -105,7 +55,7 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 	if cfg.WantQ {
 		qDone := ctx.Phase("tsqr.build_q")
-		res.QLocal = buildQ(comm, in, cfg, dom, leaf, log, sentTo, sentTag)
+		res.QLocal = buildQ(comm, in, cfg, dom, leaf, w)
 		qDone()
 	}
 	if cfg.KeepFactors {
@@ -116,9 +66,8 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 			panic("core: KeepFactors requires one domain per process")
 		}
 		res.Q = &ImplicitQ{
-			n: in.N, offsets: in.Offsets, leaf: leaf, log: log,
-			sentTo: sentTo, sentTag: sentTag, leader: me == dom.leader(),
-			root: l.domains[rootDom].leader(),
+			n: in.N, offsets: in.Offsets, leaf: leaf, walked: w,
+			leader: me == dom.leader(), root: root,
 		}
 	}
 	return res
@@ -195,16 +144,15 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 // absorbed there), using the implicit Q of that merge. Leaves finally
 // expand their seed through the leaf factorization's implicit Q into
 // their rows of the explicit Q factor.
-func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState,
-	log []mergeRec, sentTo, sentTag int) *matrix.Dense {
+func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState, w walked) *matrix.Dense {
 	ctx := comm.Ctx()
 	n := in.N
 	me := comm.Rank()
 	var seed *matrix.Dense
 	if me == dom.leader() {
 		// Obtain my seed: from the absorber of my R, or I as the root.
-		if sentTag >= 0 {
-			buf := comm.Recv(sentTo, qTagBase+sentTag)
+		if w.sentTag >= 0 {
+			buf := comm.Recv(w.sentTo, qTagBase+w.sentTag)
 			if ctx.HasData() {
 				seed = matrix.FromColMajor(n, n, buf)
 			}
@@ -212,8 +160,8 @@ func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState,
 			seed = matrix.Eye(n)
 		}
 		// Unwind my merges, newest first.
-		for i := len(log) - 1; i >= 0; i-- {
-			rec := log[i]
+		for i := len(w.log) - 1; i >= 0; i-- {
+			rec := w.log[i]
 			if ctx.HasData() {
 				bottom := matrix.New(n, n)
 				lapack.ApplyStackQ(rec.v, rec.tau, false, seed, bottom)

@@ -255,6 +255,18 @@ func TestNormOneInfMax(t *testing.T) {
 	}
 }
 
+// TestNormMaxNaN: a NaN anywhere makes the max norm NaN, wherever it
+// sits relative to the finite maximum.
+func TestNormMaxNaN(t *testing.T) {
+	for _, at := range [][2]int{{0, 0}, {1, 1}, {2, 0}} {
+		a := FromRows([][]float64{{1, -2}, {-3, 4}, {0, 5}})
+		a.Set(at[0], at[1], math.NaN())
+		if got := NormMax(a); !math.IsNaN(got) {
+			t.Fatalf("NaN at %v: NormMax = %g want NaN", at, got)
+		}
+	}
+}
+
 func TestNormsOfZero(t *testing.T) {
 	z := New(3, 3)
 	if NormFrob(z) != 0 || NormOne(z) != 0 || NormInf(z) != 0 || NormMax(z) != 0 {

@@ -57,11 +57,15 @@ func NormInf(a *Dense) float64 {
 	return best
 }
 
-// NormMax returns the largest absolute element of a.
+// NormMax returns the largest absolute element of a, or NaN when any
+// element is NaN (a plain max would skip it and report a finite norm).
 func NormMax(a *Dense) float64 {
 	var best float64
 	for j := 0; j < a.Cols; j++ {
 		for _, v := range a.Col(j) {
+			if math.IsNaN(v) {
+				return math.NaN()
+			}
 			if av := math.Abs(v); av > best {
 				best = av
 			}
